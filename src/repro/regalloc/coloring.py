@@ -24,6 +24,7 @@ precisely the two quantities the evaluation measures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 from ..analysis.liveness import compute_liveness
 from ..analysis.loops import find_loops
@@ -32,6 +33,11 @@ from ..ir.instructions import Instr, LoadAddr, LoadI, Mov, ScalarLoad, ScalarSto
 from ..ir.module import Module
 from ..ir.tags import Tag, TagKind
 from .interference import InterferenceGraph, build_interference
+
+
+#: coalescing iterations per allocation round before giving up on
+#: reaching a fixed point
+COALESCE_ITERATIONS = 8
 
 
 @dataclass
@@ -65,9 +71,12 @@ def allocate_function(
 
     for round_no in range(options.max_rounds):
         report.rounds = round_no + 1
+        graph = None
         if options.coalesce:
-            report.copies_coalesced += _coalesce(func, options, depth)
-        graph = build_interference(func, compute_liveness(func), depth)
+            removed, graph = _coalesce(func, options, depth)
+            report.copies_coalesced += removed
+        if graph is None:
+            graph = build_interference(func, compute_liveness(func), depth)
         coloring, spills = _color(graph, options.num_registers)
         if not spills:
             report.coloring = coloring
@@ -96,11 +105,20 @@ def allocate_module(
 # coalescing
 # ---------------------------------------------------------------------------
 
-def _coalesce(func: Function, options: RegAllocOptions, depth) -> int:
-    """Merge non-interfering copy pairs until none remain.  Returns the
-    number of copies removed."""
+def _coalesce(
+    func: Function, options: RegAllocOptions, depth
+) -> tuple[int, InterferenceGraph | None]:
+    """Merge non-interfering copy pairs until none remain.
+
+    Returns the number of copies removed and the interference graph of
+    the final iteration.  That iteration merged nothing, so its graph is
+    exactly the one a fresh build over the rewritten function would give
+    and the caller colors it directly.  ``None`` when the iteration cap
+    stopped the loop after a merge (the graph is stale then).
+    """
     removed = 0
-    for _ in range(8):
+    param_ids = {p.id for p in func.params}
+    for _ in range(COALESCE_ITERATIONS):
         graph = build_interference(func, compute_liveness(func), depth)
         parent: dict[int, int] = {}
 
@@ -112,8 +130,6 @@ def _coalesce(func: Function, options: RegAllocOptions, depth) -> int:
                 parent[x], x = root, parent[x]
             return root
 
-        merged_any = False
-        param_ids = {p.id for p in func.params}
         for block in func.blocks.values():
             for instr in block.instrs:
                 if not isinstance(instr, Mov):
@@ -135,48 +151,49 @@ def _coalesce(func: Function, options: RegAllocOptions, depth) -> int:
                     continue  # never merge two parameters
                 graph.merge(keep, gone)
                 parent[gone] = keep
-                merged_any = True
-        if not merged_any:
-            break
-        removed += _apply_union(func, parent, find)
-    return removed
+        if not parent:
+            return removed, graph
+        removed += _apply_union(func, {reg: find(reg) for reg in parent})
+    return removed, None
 
 
 def _briggs_ok(graph: InterferenceGraph, a: int, b: int, k: int) -> bool:
-    neighbors = graph.adjacency.get(a, set()) | graph.adjacency.get(b, set())
-    significant = sum(1 for n in neighbors if graph.degree(n) >= k)
-    return significant < k
+    """Briggs' test: the merged node has fewer than ``k`` neighbors of
+    significant degree (``>= k``)."""
+    adjacency = graph.adjacency
+    significant = 0
+    for n in adjacency[a] | adjacency[b]:
+        if len(adjacency[n]) >= k:
+            significant += 1
+            if significant == k:
+                return False
+    return True
 
 
-def _apply_union(func: Function, parent: dict[int, int], find) -> int:
-    """Rewrite the function with the union-find substitution; delete
+def _apply_union(func: Function, root: dict[int, int]) -> int:
+    """Rewrite the function with the coalescing substitution (``root``
+    maps every merged-away register id to its representative); delete
     self-copies.  Returns the number of copies deleted."""
     cache: dict[int, VReg] = {}
 
     def subst(reg: VReg) -> VReg:
-        root = find(reg.id)
-        if root == reg.id:
-            return reg
-        if root not in cache:
-            cache[root] = VReg(root, reg.hint)
-        return cache[root]
+        # the representative takes the hint of the first merged-away
+        # register the rewrite meets
+        rep = root[reg.id]
+        if rep not in cache:
+            cache[rep] = VReg(rep, reg.hint)
+        return cache[rep]
 
     removed = 0
     for block in func.blocks.values():
         new_instrs: list[Instr] = []
         for instr in block.instrs:
-            mapping = {}
-            for reg in set(instr.uses()):
-                new_reg = subst(reg)
-                if new_reg != reg:
-                    mapping[reg] = new_reg
+            mapping = {reg: subst(reg) for reg in set(instr.uses()) if reg.id in root}
             if mapping:
                 instr.replace_uses(mapping)
             dest = instr.dest
-            if dest is not None:
-                new_dest = subst(dest)
-                if new_dest != dest:
-                    _set_dest(instr, new_dest)
+            if dest is not None and dest.id in root:
+                _set_dest(instr, subst(dest))
             if isinstance(instr, Mov) and instr.dst.id == instr.src.id:
                 removed += 1
                 continue
@@ -228,43 +245,56 @@ def _rematerialize(func: Function, defs: dict[int, Instr]) -> None:
 def _color(
     graph: InterferenceGraph, k: int
 ) -> tuple[dict[int, int], list[int]]:
-    """Briggs optimistic coloring.  Returns (coloring, actual spills)."""
-    degrees = {n: graph.degree(n) for n in graph.nodes()}
+    """Briggs optimistic coloring.  Returns (coloring, actual spills).
+
+    Simplify removes the remaining node of least ``(degree, id)`` while
+    that degree is below ``k``.  Those candidates sit in a lazy heap: a
+    node is pushed when its degree drops below ``k`` and again each time
+    it drops further.  Degrees only fall, so a node's current entry is
+    its smallest and surfaces before its out-of-date ones; entries of
+    removed nodes are skipped.  The top entry is then the least remaining
+    ``(degree, id)`` below ``k`` — the same pick as sorting all remaining
+    nodes.  An empty heap means every remaining node is significant:
+    simplify is blocked.
+    """
     adjacency = graph.adjacency
-    removed: set[int] = set()
+    occurrences = graph.occurrences
+    degrees = {n: len(neighbors) for n, neighbors in adjacency.items()}
+    heap = [(d, n) for n, d in degrees.items() if d < k]
+    heapify(heap)
+    remaining = set(degrees)
     stack: list[int] = []
 
-    nodes = set(graph.nodes())
-    while len(removed) < len(nodes):
-        candidate = None
-        for node in sorted(nodes - removed, key=lambda n: (degrees[n], n)):
-            if degrees[node] < k:
-                candidate = node
-                break
-        if candidate is None:
+    while remaining:
+        while heap and heap[0][1] not in remaining:
+            heappop(heap)
+        if heap:
+            candidate = heappop(heap)[1]
+        else:
             # blocked: push the cheapest spill candidate optimistically
-            def cost(n: int) -> float:
-                occ = graph.occurrences.get(n, 1.0)
-                return occ / max(degrees[n], 1)
-
-            candidate = min(nodes - removed, key=lambda n: (cost(n), n))
-        removed.add(candidate)
+            candidate = min(
+                remaining,
+                key=lambda n: (occurrences.get(n, 1.0) / max(degrees[n], 1), n),
+            )
+        remaining.discard(candidate)
         stack.append(candidate)
-        for neighbor in adjacency.get(candidate, ()):
-            if neighbor not in removed:
-                degrees[neighbor] -= 1
+        for neighbor in adjacency[candidate]:
+            if neighbor in remaining:
+                degree = degrees[neighbor] - 1
+                degrees[neighbor] = degree
+                if degree < k:
+                    heappush(heap, (degree, neighbor))
 
+    # select: each node takes the lowest color no colored neighbor has
+    colors = frozenset(range(k))
     coloring: dict[int, int] = {}
     spills: list[int] = []
     for node in reversed(stack):
-        taken = {
-            coloring[n] for n in adjacency.get(node, ()) if n in coloring
-        }
-        color = next((c for c in range(k) if c not in taken), None)
-        if color is None:
-            spills.append(node)
+        free = colors.difference(map(coloring.get, adjacency[node]))
+        if free:
+            coloring[node] = min(free)
         else:
-            coloring[node] = color
+            spills.append(node)
     return coloring, spills
 
 

@@ -1,4 +1,7 @@
-"""Tests for liveness analysis and def-use chains."""
+"""Tests for liveness analysis and def-use chains.
+
+Liveness sets hold register ids, so membership is checked on ``reg.id``.
+"""
 
 from repro.analysis.defuse import compute_def_use
 from repro.analysis.liveness import compute_liveness, live_across_calls
@@ -38,15 +41,15 @@ class TestLiveness:
     def test_live_through_loop(self):
         func, x, y = loop_function()
         live = compute_liveness(func)
-        assert x in live.live_in["H"]
-        assert x in live.live_in["B"]
-        assert x in live.live_in["X"]
+        assert x.id in live.live_in["H"]
+        assert x.id in live.live_in["B"]
+        assert x.id in live.live_in["X"]
 
     def test_dead_after_last_use(self):
         func, x, y = loop_function()
         live = compute_liveness(func)
-        assert y not in live.live_out["B"]
-        assert x not in live.live_out["X"]
+        assert y.id not in live.live_out["B"]
+        assert x.id not in live.live_out["X"]
 
     def test_params_live_in_entry_when_used(self):
         func = Function("g", params=[VReg(0, "a")])
@@ -54,7 +57,7 @@ class TestLiveness:
         b.start_block()
         b.ret(func.params[0])
         live = compute_liveness(func)
-        assert func.params[0] in live.live_in[func.entry]
+        assert func.params[0].id in live.live_in[func.entry]
 
     def test_phi_operand_live_out_of_pred(self):
         func = Function("p")
@@ -68,9 +71,9 @@ class TestLiveness:
         b.set_block(join)
         b.ret(phi_dst)
         live = compute_liveness(func)
-        assert v1 in live.live_out[entry.label]
+        assert v1.id in live.live_out[entry.label]
         # phi defs are not live-in to their own block
-        assert phi_dst not in live.live_in["J"]
+        assert phi_dst.id not in live.live_in["J"]
 
 
 class TestLiveAcrossCalls:
@@ -83,8 +86,8 @@ class TestLiveAcrossCalls:
         y = b.add(x, x)
         b.ret(y)
         across = live_across_calls(func)
-        assert x in across
-        assert y not in across
+        assert x.id in across
+        assert y.id not in across
 
 
 class TestDefUse:
