@@ -156,7 +156,7 @@ def _promotion_summary(cells: dict[str, ExperimentCell]) -> list[str]:
 def cmd_compare(args: argparse.Namespace) -> int:
     import json
 
-    from .runner import telemetry
+    from .trace import format_span_summary, span, tracing, write_chrome_trace
 
     source = Path(args.file).read_text()
     stem = Path(args.file).stem
@@ -173,14 +173,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     ).items():
 
         def build():
-            with telemetry.span("compile", variant=name):
+            with span("compile", variant=name):
                 compiled = compile_source(source, options, name=stem)
-            with telemetry.span("execute", variant=name):
+            with span("execute", variant=name):
                 run = run_module(compiled.module, options=machine)
             return compiled, run
 
         if args.trace:
-            with telemetry.tracing(name) as trace:
+            with tracing(name) as trace:
                 compiled, run = build()
             trace_groups[name] = trace.events
         else:
@@ -225,8 +225,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         }
         Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
     if args.trace:
-        telemetry.write_chrome_trace(args.trace, trace_groups)
-        print(telemetry.format_span_summary(trace_groups), file=sys.stderr)
+        write_chrome_trace(args.trace, trace_groups)
+        print(format_span_summary(trace_groups), file=sys.stderr)
     print()
     print("program output (identical across variants):")
     sys.stdout.write(cells["modref/promo"].output)
@@ -268,8 +268,9 @@ def cmd_ir(args: argparse.Namespace) -> int:
 
 def cmd_suite(args: argparse.Namespace) -> int:
     from .harness import METRICS, format_figure
-    from .runner import ResultCache, telemetry
+    from .runner import ResultCache
     from .runner.report import run_suite_report, write_suite_json
+    from .trace import format_span_summary, write_chrome_trace
     from .workloads import workload_names
 
     names = args.programs or workload_names()
@@ -282,9 +283,9 @@ def cmd_suite(args: argparse.Namespace) -> int:
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     fn_store = None
     if not args.no_cache:
-        from .inccomp import FunctionStore
+        from .inccomp.store import FN_SUBDIR, FunctionStore
 
-        fn_store = FunctionStore(Path(args.cache_dir) / "fn")
+        fn_store = FunctionStore(Path(args.cache_dir) / FN_SUBDIR)
     if args.clear_cache and cache is not None:
         removed = cache.clear()
         fn_removed = fn_store.clear() if fn_store is not None else 0
@@ -333,8 +334,8 @@ def cmd_suite(args: argparse.Namespace) -> int:
         write_suite_json(args.json, report)
     if args.trace:
         groups = report.trace_groups()
-        telemetry.write_chrome_trace(args.trace, groups)
-        print(telemetry.format_span_summary(groups), file=sys.stderr)
+        write_chrome_trace(args.trace, groups)
+        print(format_span_summary(groups), file=sys.stderr)
     return report.exit_code()
 
 

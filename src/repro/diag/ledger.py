@@ -11,7 +11,7 @@ the paper's section 5 question "why does points-to promote tags MOD/REF
 cannot?" about a concrete program.
 
 The ledger follows the same zero-cost-when-off pattern as
-:mod:`repro.runner.telemetry`: passes call :func:`record`, which is a
+:mod:`repro.trace`: passes call :func:`record`, which is a
 no-op unless a :func:`decision_ledger` context is active.  ``repro
 explain FILE`` installs a ledger around one compilation and renders the
 result as a table or JSONL.

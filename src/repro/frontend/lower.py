@@ -33,7 +33,7 @@ from ..ir.instructions import Call, LoadAddr, Ret, VReg
 from ..ir.module import GlobalVar, Module
 from ..ir.opcodes import Opcode
 from ..ir.tags import Tag, TagKind, TagSet
-from .ctypes import (
+from ..ctype_model import (
     ArrayType,
     CHAR,
     CType,

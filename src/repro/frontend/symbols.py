@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from ..errors import FrontendError
 from ..ir.instructions import VReg
 from ..ir.tags import Tag
-from .ctypes import CType, FunctionType
+from ..ctype_model import CType, FunctionType
 
 
 @dataclass

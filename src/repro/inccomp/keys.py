@@ -30,14 +30,11 @@ they get their own namespace rather than polluting plain compiles.
 
 from __future__ import annotations
 
-import hashlib
-import json
-
 from ..ir.function import Function
 from ..ir.instructions import Call
 from ..ir.module import Module
 from ..ir.printer import format_function
-from ..runner.cache import _jsonable, code_fingerprint
+from ..store import canonical_json, content_key, jsonable, sha256_hex
 
 __all__ = [
     "FN_SCHEMA_VERSION",
@@ -52,21 +49,13 @@ __all__ = [
 FN_SCHEMA_VERSION = 1
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _canonical(payload: object) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def _tag_attrs(tag) -> list:
     return [tag.name, tag.kind.value, tag.is_scalar, tag.owner]
 
 
 def options_digest(options) -> str:
     """Canonical digest of a :class:`~repro.pipeline.PipelineOptions`."""
-    return _sha256(_canonical(_jsonable(options)))
+    return sha256_hex(canonical_json(jsonable(options)))
 
 
 def module_env_digest(module: Module) -> str:
@@ -103,7 +92,7 @@ def module_env_digest(module: Module) -> str:
             for func in sorted(module.functions.values(), key=lambda f: f.name)
         ],
     }
-    return _sha256(_canonical(env))
+    return sha256_hex(canonical_json(env))
 
 
 def function_digest(func: Function) -> str:
@@ -125,7 +114,7 @@ def function_digest(func: Function) -> str:
         "next_vreg": func._next_vreg,
         "next_label": func._next_label,
     }
-    return _sha256(format_function(func) + "\0" + _canonical(supplement))
+    return sha256_hex(format_function(func) + "\0" + canonical_json(supplement))
 
 
 def function_key(
@@ -135,15 +124,10 @@ def function_key(
     ledgered: bool,
 ) -> str:
     """The content address of one function's optimized body."""
-    return _sha256(
-        _canonical(
-            {
-                "schema": FN_SCHEMA_VERSION,
-                "code": code_fingerprint(),
-                "fn": fn_digest,
-                "env": env_digest,
-                "options": opts_digest,
-                "ledgered": ledgered,
-            }
-        )
+    return content_key(
+        FN_SCHEMA_VERSION,
+        fn=fn_digest,
+        env=env_digest,
+        options=opts_digest,
+        ledgered=ledgered,
     )

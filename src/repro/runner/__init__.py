@@ -1,25 +1,20 @@
 """Parallel, cached, instrumented experiment runner.
 
-Four cooperating modules:
+Three cooperating modules:
 
 * :mod:`~repro.runner.scheduler` — process-pool job scheduler with
   per-cell timeouts, bounded retries, and graceful degradation;
-* :mod:`~repro.runner.cache` — content-addressed on-disk result cache;
-* :mod:`~repro.runner.telemetry` — per-pass span tracing with Chrome
-  trace export;
+* :mod:`~repro.runner.cache` — the cell codec of the content-addressed
+  :mod:`repro.store`;
 * :mod:`~repro.runner.report` — suite orchestration, aggregation into the
   harness's figure shapes, and ``suite.json`` serialization.
 
-Heavy submodules are loaded lazily: the compiler pipeline itself imports
-:mod:`~repro.runner.telemetry` for its pass spans, so this package's
-``__init__`` must not eagerly import the scheduler (which imports the
-pipeline back).
+Per-pass span tracing lives in :mod:`repro.trace`.  Submodules are loaded
+lazily: the scheduler imports the pipeline, and importing this package
+must not pull the whole compiler in.
 """
 
 from __future__ import annotations
-
-from . import telemetry
-from .telemetry import span, tracing
 
 __all__ = [
     "CellData",
@@ -33,9 +28,6 @@ __all__ = [
     "execute_cell",
     "run_cells",
     "run_suite_report",
-    "span",
-    "telemetry",
-    "tracing",
     "write_suite_json",
 ]
 

@@ -11,66 +11,24 @@ A cell's key is the SHA-256 of everything that determines its result:
   invalidates every cached cell automatically — only genuinely unrelated
   edits (docs, tests, the runner itself) keep the cache warm.
 
-Values are small JSON payloads (counters, output, exit code, timing) laid
-out two-level deep under the cache root — ``.repro-cache/ab/abcdef....json``
-— so the directory stays listable even with tens of thousands of cells.
+Values are small JSON payloads (counters, output, exit code, timing) in
+the :class:`~repro.store.Store` layout — ``.repro-cache/ab/abcdef....json``.
 Failures are never cached.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import enum
-import functools
-import hashlib
 import json
 from pathlib import Path
 
-__all__ = ["DEFAULT_CACHE_DIR", "SCHEMA_VERSION", "ResultCache", "cell_key"]
+from ..store import DEFAULT_CACHE_DIR, Store, content_key, jsonable
+
+__all__ = ["SCHEMA_VERSION", "ResultCache", "cell_key"]
 
 #: bump when the cached payload or the meaning of a counter changes
 SCHEMA_VERSION = 3  # v3: cells may be produced by incremental per-function
 #                     compilation (repro.inccomp); byte-identical by
 #                     contract, but invalidate pre-inccomp payloads
-
-DEFAULT_CACHE_DIR = Path(".repro-cache")
-
-#: directories whose edits do not affect experiment results
-_NON_SEMANTIC_PARTS = ("runner", "serve")
-
-
-def _jsonable(value):
-    """Canonical, deterministic JSON form of options objects."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: _jsonable(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-    if isinstance(value, enum.Enum):
-        return value.value
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in sorted(value.items())}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    return repr(value)
-
-
-@functools.cache
-def code_fingerprint() -> str:
-    """SHA-256 over every semantic source file of the ``repro`` package."""
-    package_root = Path(__file__).resolve().parent.parent
-    digest = hashlib.sha256()
-    for path in sorted(package_root.rglob("*.py")):
-        relative = path.relative_to(package_root)
-        if relative.parts and relative.parts[0] in _NON_SEMANTIC_PARTS:
-            continue
-        digest.update(str(relative).encode())
-        digest.update(b"\0")
-        digest.update(path.read_bytes())
-        digest.update(b"\0")
-    return digest.hexdigest()
 
 
 def cell_key(
@@ -81,62 +39,33 @@ def cell_key(
     schema_version: int = SCHEMA_VERSION,
 ) -> str:
     """The content address of one (program, variant, machine) cell."""
-    payload = {
-        "schema": schema_version,
-        "code": code_fingerprint(),
-        "source": source,
-        "defines": _jsonable(defines or {}),
-        "pipeline": _jsonable(options),
-        "machine": _jsonable(machine),
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return content_key(
+        schema_version,
+        source=source,
+        defines=jsonable(defines or {}),
+        pipeline=jsonable(options),
+        machine=jsonable(machine),
+    )
 
 
-class ResultCache:
-    """Directory-backed cache of cell payload dicts, keyed by hex digest."""
+class ResultCache(Store):
+    """Cell payload dicts as JSON stamped with :data:`SCHEMA_VERSION`.
+
+    No memory layer: every ``get`` reads disk, so a damaged or evicted
+    entry (the serve chaos sites) is what the next read sees.
+    """
+
+    suffix = ".json"
 
     def __init__(self, root: str | Path = DEFAULT_CACHE_DIR) -> None:
-        self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
+        super().__init__(root, max_entries=0)
 
-    def path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
-    def get(self, key: str) -> dict | None:
-        path = self.path_for(key)
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
-        if not isinstance(payload, dict) or payload.get("schema") != SCHEMA_VERSION:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return payload
-
-    def put(self, key: str, payload: dict) -> None:
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
+    def _encode(self, payload: dict) -> bytes:
         body = json.dumps({"schema": SCHEMA_VERSION, **payload}, sort_keys=True)
-        # write-then-rename so concurrent runs never observe a torn file
-        tmp = path.with_suffix(f".tmp.{id(self)}")
-        tmp.write_text(body)
-        tmp.replace(path)
+        return body.encode()
 
-    def clear(self) -> int:
-        """Explicit invalidation: remove every cached cell, return count."""
-        removed = 0
-        if not self.root.exists():
-            return 0
-        for path in self.root.rglob("*.json"):
-            path.unlink(missing_ok=True)
-            removed += 1
-        return removed
-
-    def __len__(self) -> int:
-        if not self.root.exists():
-            return 0
-        return sum(1 for _ in self.root.rglob("*.json"))
+    def _decode(self, blob: bytes) -> dict:
+        payload = json.loads(blob)
+        if not isinstance(payload, dict) or payload.get("schema") != SCHEMA_VERSION:
+            raise ValueError(f"not a schema-{SCHEMA_VERSION} cell payload")
+        return payload

@@ -28,6 +28,7 @@ from ..inccomp.store import FunctionStore
 from ..interp import MachineOptions
 from ..pipeline import ExperimentCell, PipelineOptions, paper_variants
 from ..regalloc import RegAllocOptions
+from ..trace import SpanEvent
 from ..workloads import Workload, all_workloads, get_workload
 from .cache import SCHEMA_VERSION, ResultCache
 from .scheduler import (
@@ -38,7 +39,6 @@ from .scheduler import (
     ProgressFn,
     run_cells,
 )
-from .telemetry import SpanEvent
 
 __all__ = [
     "SuiteReport",

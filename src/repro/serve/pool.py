@@ -242,7 +242,7 @@ def worker_main(
     # and bounded; recycled with the worker like compile_cache.
     from ..inccomp import FunctionStore
 
-    fn_store = FunctionStore(root=None, max_entries=4096)
+    fn_store = FunctionStore(root=None)
     while True:
         try:
             job = conn.recv()

@@ -1,7 +1,6 @@
 """End-to-end tracing: spans, context propagation, flight recorder.
 
-This package absorbed ``repro.runner.telemetry`` (which remains as a
-compatibility shim).  The span model and in-process API live in
+The span model and in-process API live in
 :mod:`repro.trace.spans`; the always-on crash-bundle ring buffer in
 :mod:`repro.trace.flight`; exporters and the attribution/critical-path
 analysis in :mod:`repro.trace.analyze`; the ``repro trace`` CLI's

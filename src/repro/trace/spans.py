@@ -1,7 +1,6 @@
 """The span model: nested wall-clock spans with trace-context identity.
 
-This module is the core of :mod:`repro.trace`, the layer that absorbed
-the original ``repro.runner.telemetry``.  A :class:`Trace` records
+This module is the core of :mod:`repro.trace`.  A :class:`Trace` records
 nested :func:`span`\\ s — one per compiler pass, plus ``parse``,
 ``execute``, and the serving layer's request lifecycle — together with
 the static operation count of the module before and after each pass, so

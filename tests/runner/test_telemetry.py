@@ -5,8 +5,8 @@ import json
 import time
 
 from repro.pipeline import PipelineOptions, compile_and_run
-from repro.runner import telemetry
-from repro.runner.telemetry import (
+from repro import trace as telemetry
+from repro.trace import (
     SpanEvent,
     chrome_trace,
     current_trace,
