@@ -58,7 +58,7 @@ from pathlib import Path
 
 from .diag.log import setup_logging
 from .frontend import compile_c
-from .interp import MachineOptions, run_module
+from .interp import ENGINES, MachineOptions, run_module
 from .ir.printer import format_module
 from .pipeline import (
     Analysis,
@@ -81,7 +81,7 @@ def _pipeline_options(args: argparse.Namespace) -> PipelineOptions:
 def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine",
-        choices=["threaded", "simple", "tier2"],
+        choices=ENGINES,
         default="threaded",
         help="interpreter engine (default: threaded; all are bit-identical)",
     )
@@ -960,7 +960,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "(0..1, default 0); cold requests are always "
                            "traced when --trace-sample is set")
     p_lg.add_argument("--engine", default="threaded",
-                      choices=["threaded", "simple", "tier2"],
+                      choices=ENGINES,
                       help="interpreter engine for the mix cells "
                            "(default threaded)")
     p_lg.add_argument("--resilient", action="store_true",

@@ -24,9 +24,9 @@ verdict is built from four invariant families:
   division by zero), *every* cell must trap with the same message; a
   trap in some variants only is a miscompile;
 * **engine equivalence** — for each level, all engines must produce
-  bit-identical counters (the threaded engine's batching contract and
-  the tier-2 engine's exact-deoptimization contract); a violation names
-  the engine pair that split;
+  bit-identical counters (the compiled engines' batching contract and
+  their exact handoff to the reference stepper); a violation names the
+  engine pair that split;
 * **counter consistency** — loads/stores breakdowns must sum, and
   disjoint instruction classes cannot exceed ``total_ops``.
 

@@ -91,10 +91,6 @@ def _flatten(chunks: list[list[str]]) -> list[str]:
     return [line for chunk in chunks for line in chunk]
 
 
-def _join(chunks: list[list[str]]) -> str:
-    return "\n".join(_flatten(chunks)) + "\n"
-
-
 ChunkTest = Callable[[list[list[str]]], bool]
 
 

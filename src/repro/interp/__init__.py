@@ -3,10 +3,20 @@ load, and store counting (the paper's measurement apparatus)."""
 
 from .counters import Counters
 from .engine import invalidate_decoded
-from .machine import Machine, MachineOptions, RunResult, c_div, c_mod, run_module, wrap_int
+from .machine import (
+    ENGINES,
+    Machine,
+    MachineOptions,
+    RunResult,
+    c_div,
+    c_mod,
+    run_module,
+    wrap_int,
+)
 from .memory import MemoryImage
 
 __all__ = [
+    "ENGINES",
     "Counters",
     "Machine",
     "MachineOptions",

@@ -35,9 +35,12 @@ always counted; a ``nop``'s +1/-1 transient cannot exceed that), and that
 peak is reached at the segment's final instruction.  So the batched guard
 ``entry_total + net > max_steps`` fires iff some per-instruction check
 would have fired.  When it fires, the segment is *not* folded; instead
-:func:`_precise_tail` replays the segment with exact per-instruction
-semantics so trap-vs-limit ordering, counter state at the raise, and the
-error message all match the reference engine.
+the reference engine's block stepper,
+:meth:`~repro.interp.machine.Machine._exec_block`, runs the block from
+the segment's first instruction, so trap-vs-limit ordering, counter
+state at the raise, and the error message are the reference engine's
+own.  The tier-2 engine's guards hand over the same way: per-instruction
+semantics live in one place.
 
 The decoded program lives on the module (``module._decoded``) so repeat
 runs skip decoding; it is validated against an identity signature of the
@@ -114,6 +117,32 @@ _COUNTER_FIELDS = (
     "branches",
 )
 
+#: the counter fields (beyond ``total_ops``) each instruction class adds
+#: one to — the reference engine's per-instruction increments
+_CLASS_FIELDS = {
+    Mov: ("copies",),
+    ScalarLoad: ("loads", "scalar_loads"),
+    CLoad: ("loads", "scalar_loads"),
+    ScalarStore: ("stores", "scalar_stores"),
+    MemLoad: ("loads", "general_loads"),
+    MemStore: ("stores", "general_stores"),
+    Branch: ("branches",),
+    Call: ("calls",),
+}
+
+
+def _segment_mix(instrs) -> dict[str, int]:
+    """The static counter mix of straight-line ``instrs``: ``total_ops``
+    (every instruction but ``Nop``) and each :data:`_COUNTER_FIELDS`."""
+    mix = dict.fromkeys(("total_ops",) + _COUNTER_FIELDS, 0)
+    for instr in instrs:
+        cls = instr.__class__
+        if cls is not Nop:
+            mix["total_ops"] += 1
+        for fld in _CLASS_FIELDS.get(cls, ()):
+            mix[fld] += 1
+    return mix
+
 
 # -- decode cache ------------------------------------------------------------
 def _module_signature(module: Module) -> tuple:
@@ -175,15 +204,18 @@ class DecodedFunction:
 class DecodedModule:
     """The decoded program: per-function state plus the baked address maps.
 
-    Subclasses (the tier-2 cache) override :attr:`function_cls` and
-    :attr:`call_executor` — the latter is baked into every compiled
-    block's ``_call`` binding, so callees reached from threaded-decoded
-    blocks enter the same tier as their caller.  Both are assigned after
-    the definitions they name.
+    Subclasses (the tier-2 cache) override :attr:`function_cls`,
+    :attr:`call_executor` and :attr:`cache_attr`.  The executor is baked
+    into every compiled block's ``_call`` binding, so callees reached
+    from threaded-decoded blocks enter the same tier as their caller.
+    The first two are assigned after the definitions they name.
     """
 
     function_cls: type
     call_executor: Callable
+    #: the ``Module`` attribute the cache lives in (``Module`` drops it
+    #: on pickle/deepcopy)
+    cache_attr = "_decoded"
 
     def __init__(self, module: Module, mem: MemoryImage) -> None:
         self.module = module
@@ -207,13 +239,16 @@ class DecodedModule:
         )
 
 
-def get_decoded(module: Module, mem: MemoryImage) -> DecodedModule:
-    """The module's decode cache, rebuilt if the program changed."""
-    dm = getattr(module, "_decoded", None)
+def get_decoded(
+    module: Module, mem: MemoryImage, cls: type[DecodedModule] = DecodedModule
+) -> DecodedModule:
+    """The module's ``cls`` cache (threaded by default), rebuilt if the
+    program changed."""
+    dm = getattr(module, cls.cache_attr, None)
     if dm is not None and dm.validate(mem):
         return dm
-    dm = DecodedModule(module, mem)
-    module._decoded = dm
+    dm = cls(module, mem)
+    setattr(module, cls.cache_attr, dm)
     return dm
 
 
@@ -226,8 +261,12 @@ def invalidate_decoded(module: Module) -> None:
 
 
 # -- execution ---------------------------------------------------------------
-def exec_entry(machine: Machine, func: Function) -> int | float | None:
-    """Run ``func`` on ``machine`` under the block-threaded engine.
+def exec_entry(
+    machine: Machine, func: Function, cls: type[DecodedModule] = DecodedModule
+) -> int | float | None:
+    """Run ``func`` on ``machine`` under the engine whose cache is ``cls``
+    (the block-threaded engine by default, :class:`~repro.interp.tier2.
+    Tier2Module` for tier 2).
 
     When a trace is active the decode and run phases get their own spans
     (``interp.decode`` notes whether the decode cache hit); when tracing
@@ -236,13 +275,14 @@ def exec_entry(machine: Machine, func: Function) -> int | float | None:
     """
     from ..trace import current_trace
 
+    exec_function = cls.call_executor
     trace = current_trace()
     if trace is None:
-        dm = get_decoded(machine.module, machine.mem)
+        dm = get_decoded(machine.module, machine.mem, cls)
         return exec_function(machine, dm.functions[func.name], ())
-    cached = getattr(machine.module, "_decoded", None)
+    cached = getattr(machine.module, cls.cache_attr, None)
     with trace.span("interp.decode") as decode_extra:
-        dm = get_decoded(machine.module, machine.mem)
+        dm = get_decoded(machine.module, machine.mem, cls)
         decode_extra["cached"] = dm is cached
     with trace.span("interp.run", function=func.name) as run_extra:
         result = exec_function(machine, dm.functions[func.name], ())
@@ -305,101 +345,17 @@ def exec_function(
         m._call_depth -= 1
 
 
-# -- the precise tail (guard-trip fallback) ---------------------------------
-def _precise_tail(
-    m: Machine,
-    df: DecodedFunction,
-    label: str,
-    start: int,
-    regs: list,
-    frame: list[int],
-    cells: dict,
-    c,
-) -> str | tuple:
-    """Replay ``block.instrs[start:]`` with exact reference semantics.
-
-    Entered only when a segment guard trips, i.e. the reference engine
-    would raise ``ResourceLimitError`` somewhere in the segment unless a
-    trap preempts it.  Counters were *not* folded for this segment, so
-    per-instruction increments here leave them in exactly the reference
-    engine's state at the raise.  By the peak argument the loop always
-    raises at or before the segment's final instruction; the normal-exit
-    returns below are defensive completeness.
-    """
-    func = df.func
-    frame_addrs = {tag.name: addr for tag, addr in zip(func.local_tags, frame)}
-    max_steps = m._max_steps
-    block = func.blocks[label]
-    for instr in block.instrs[start:]:
-        c.total_ops += 1
-        if c.total_ops > max_steps:
-            raise ResourceLimitError(f"exceeded {max_steps} executed operations")
-        cls = type(instr)
-        if cls is BinOp:
-            regs[instr.dst.id] = _binop(
-                instr.opcode, regs[instr.lhs.id], regs[instr.rhs.id]
-            )
-        elif cls is LoadI:
-            regs[instr.dst.id] = instr.value
-        elif cls is Mov:
-            c.copies += 1
-            regs[instr.dst.id] = regs[instr.src.id]
-        elif cls is ScalarLoad or cls is CLoad:
-            c.loads += 1
-            c.scalar_loads += 1
-            addr = m._tag_addr(instr.tag, frame_addrs)
-            regs[instr.dst.id] = cells.get(addr, 0)
-        elif cls is ScalarStore:
-            c.stores += 1
-            c.scalar_stores += 1
-            addr = m._tag_addr(instr.tag, frame_addrs)
-            cells[addr] = regs[instr.src.id]
-        elif cls is MemLoad:
-            c.loads += 1
-            c.general_loads += 1
-            addr = regs[instr.addr.id]
-            if not isinstance(addr, int):
-                raise InterpTrap(f"load through non-integer address {addr!r}")
-            regs[instr.dst.id] = cells.get(addr, 0)
-        elif cls is MemStore:
-            c.stores += 1
-            c.general_stores += 1
-            addr = regs[instr.addr.id]
-            if not isinstance(addr, int):
-                raise InterpTrap(f"store through non-integer address {addr!r}")
-            cells[addr] = regs[instr.src.id]
-        elif cls is UnOp:
-            regs[instr.dst.id] = _unop(instr.opcode, regs[instr.src.id])
-        elif cls is LoadAddr:
-            regs[instr.dst.id] = m._tag_addr(instr.tag, frame_addrs) + instr.offset
-        elif cls is Jump:
-            return instr.target
-        elif cls is Branch:
-            c.branches += 1
-            return instr.if_true if regs[instr.cond.id] != 0 else instr.if_false
-        elif cls is Ret:
-            if instr.value is not None:
-                return (regs[instr.value.id],)
-            return (None,)
-        elif cls is Call:
-            c.calls += 1
-            value = m._exec_call(instr, regs)
-            if instr.dst is not None:
-                regs[instr.dst.id] = value if value is not None else 0
-        elif cls is Nop:
-            c.total_ops -= 1  # structural, never "executed"
-        elif cls is Phi:
-            raise InterpError("phi reached the interpreter; destruct SSA first")
-        else:  # pragma: no cover - defensive
-            raise InterpError(f"unknown instruction {instr}")
-    raise InterpError(
-        f"block {label} in {func.name} fell through without terminator"
-    )
-
-
+# -- guard-trip handoff to the reference stepper -----------------------------
 def _make_tail(df: DecodedFunction, label: str, start: int) -> Callable:
+    """The guard-trip fallback for the segment of ``label`` starting at
+    instruction ``start``: the reference engine's block stepper, entered
+    mid-block on this activation's registers and frame."""
+    func = df.func
+    tags = df.tags
+
     def _tail(m, regs, frame, cells, c):
-        return _precise_tail(m, df, label, start, regs, frame, cells, c)
+        frame_addrs = {tag.name: addr for tag, addr in zip(tags, frame)}
+        return m._exec_block(func, label, start, regs, frame_addrs)
 
     return _tail
 
@@ -433,7 +389,7 @@ def _compile_block(df: DecodedFunction, label: str) -> Callable:
             _g = cells.get
             t = c.total_ops + <net ops>          # batched guard + fold
             if t > m._max_steps:
-                return _t0(m, regs, frame, cells, c)   # precise tail
+                return _t0(m, regs, frame, cells, c)   # reference stepper
             c.total_ops = t
             c.loads += <n> ...                   # nonzero mixes only
             regs[3] = _g(268435456, 0)           # sload, address baked
@@ -670,13 +626,11 @@ def _compile_block(df: DecodedFunction, label: str) -> Callable:
 
     lines = ["def _b(regs, frame, cells, c, m):", "    _g = cells.get"]
     seg_body: list[str] = []
-    mix = {"total_ops": 0}
-    for fld in _COUNTER_FIELDS:
-        mix[fld] = 0
     seg_start = 0
 
     def flush(next_start: int) -> None:
         nonlocal seg_start
+        mix = _segment_mix(block.instrs[seg_start:next_start])
         if seg_body or mix["total_ops"]:
             tail_name = bind(_make_tail(df, label, seg_start), "t")
             lines.append(f"    t = c.total_ops + {mix['total_ops']}")
@@ -688,34 +642,11 @@ def _compile_block(df: DecodedFunction, label: str) -> Callable:
                     lines.append(f"    c.{fld} += {mix[fld]}")
             lines.extend(seg_body)
         seg_body.clear()
-        for key in mix:
-            mix[key] = 0
         seg_start = next_start
 
     for idx, instr in enumerate(block.instrs):
-        cls = instr.__class__
-        if cls is not Nop:
-            mix["total_ops"] += 1
-        if cls is Mov:
-            mix["copies"] += 1
-        elif cls is ScalarLoad or cls is CLoad:
-            mix["loads"] += 1
-            mix["scalar_loads"] += 1
-        elif cls is ScalarStore:
-            mix["stores"] += 1
-            mix["scalar_stores"] += 1
-        elif cls is MemLoad:
-            mix["loads"] += 1
-            mix["general_loads"] += 1
-        elif cls is MemStore:
-            mix["stores"] += 1
-            mix["general_stores"] += 1
-        elif cls is Branch:
-            mix["branches"] += 1
-        elif cls is Call:
-            mix["calls"] += 1
         emit_instr(instr, seg_body)
-        if cls is Call:
+        if instr.__class__ is Call:
             # a call ends its segment so the callee (clock() especially)
             # observes exactly the per-instruction total_ops
             flush(idx + 1)

@@ -25,14 +25,20 @@ Three execution engines share this measurement contract:
     The specializing tier in :mod:`repro.interp.tier2`: hot regions
     (whole small functions and natural loops) are template-compiled into
     single Python functions with virtual registers and promotion-eligible
-    frame slots held in Python locals, deoptimizing exactly to the
-    threaded tier at budget/trap boundaries.  Same bit-identical
-    observable contract, same differential oracle.
+    frame slots held in Python locals.  Same bit-identical observable
+    contract, same differential oracle.
 
 ``simple``
-    The reference semantics: the per-instruction dispatch loop in
-    :meth:`Machine._exec_function` below.  Kept deliberately direct so it
-    stays auditable against the IL specification.
+    The reference semantics: the per-instruction block stepper
+    :meth:`Machine._exec_block`, driven one activation at a time by
+    :meth:`Machine._exec_function`.  Kept deliberately direct so it stays
+    auditable against the IL specification.
+
+The stepper is the only place per-instruction semantics live.  When a
+compiled engine's batched ``max_steps`` guard trips, it hands the rest
+of the block to ``_exec_block`` at an exact instruction index, so the
+limit fires at the reference engine's operation count with its counters
+and message.
 """
 
 from __future__ import annotations
@@ -94,6 +100,11 @@ def c_div(a: int, b: int) -> int:
 
 def c_mod(a: int, b: int) -> int:
     return wrap_int(a - c_div(a, b) * b)
+
+
+#: the interpreter engines ``MachineOptions.engine`` accepts, reference
+#: first — all are held to bit-identical observables
+ENGINES = ("simple", "threaded", "tier2")
 
 
 class _ProgramExit(Exception):
@@ -159,7 +170,7 @@ class Machine:
         if func is None:
             raise InterpError(f"no entry function {entry!r}")
         engine_name = self.options.engine
-        if engine_name not in ("threaded", "tier2", "simple"):
+        if engine_name not in ENGINES:
             raise InterpError(f"unknown interpreter engine {engine_name!r}")
         # the interpreter recurses once per interpreted call; make room in
         # the Python stack for the machine's own depth limit, restoring
@@ -173,13 +184,14 @@ class Machine:
         try:
             try:
                 if engine_name == "threaded":
-                    from . import engine as _engine
+                    from .engine import exec_entry
 
-                    value = _engine.exec_entry(self, func)
+                    value = exec_entry(self, func)
                 elif engine_name == "tier2":
-                    from . import tier2 as _tier2
+                    from .engine import exec_entry
+                    from .tier2 import Tier2Module
 
-                    value = _tier2.exec_entry(self, func)
+                    value = exec_entry(self, func, Tier2Module)
                 else:
                     value = self._exec_function(func, [])
                 code = int(value) if isinstance(value, (int, float)) else 0
@@ -216,111 +228,118 @@ class Machine:
         for reg, value in zip(func.params, args):
             regs[reg.id] = value
 
-        counters = self.counters
-        mem = self.mem
-        cells = mem.cells
-        max_steps = self.options.max_steps
         label = func.entry
-        result: int | float | None = None
         # Profiling attributes whole blocks, never single instructions: a
         # block always executes all of its instructions once entered, so
         # ``visits x static mix`` reconstructs exact dynamic counts (see
         # repro.diag.profile).  The off path is one None test per block.
         visits = self.block_visits
         func_name = func.name
+        exec_block = self._exec_block
 
         try:
             while True:
-                block = func.blocks[label]
                 if visits is not None:
                     key = (func_name, label)
                     visits[key] = visits.get(key, 0) + 1
-                next_label: str | None = None
-                for instr in block.instrs:
-                    counters.total_ops += 1
-                    if counters.total_ops > max_steps:
-                        raise ResourceLimitError(
-                            f"exceeded {max_steps} executed operations"
-                        )
-                    cls = type(instr)
-                    if cls is BinOp:
-                        regs[instr.dst.id] = _binop(
-                            instr.opcode, regs[instr.lhs.id], regs[instr.rhs.id]
-                        )
-                    elif cls is LoadI:
-                        regs[instr.dst.id] = instr.value
-                    elif cls is Mov:
-                        counters.copies += 1
-                        regs[instr.dst.id] = regs[instr.src.id]
-                    elif cls is ScalarLoad:
-                        counters.loads += 1
-                        counters.scalar_loads += 1
-                        addr = self._tag_addr(instr.tag, frame_addrs)
-                        regs[instr.dst.id] = cells.get(addr, 0)
-                    elif cls is ScalarStore:
-                        counters.stores += 1
-                        counters.scalar_stores += 1
-                        addr = self._tag_addr(instr.tag, frame_addrs)
-                        cells[addr] = regs[instr.src.id]
-                    elif cls is MemLoad:
-                        counters.loads += 1
-                        counters.general_loads += 1
-                        addr = regs[instr.addr.id]
-                        if not isinstance(addr, int):
-                            raise InterpTrap(f"load through non-integer address {addr!r}")
-                        regs[instr.dst.id] = cells.get(addr, 0)
-                    elif cls is MemStore:
-                        counters.stores += 1
-                        counters.general_stores += 1
-                        addr = regs[instr.addr.id]
-                        if not isinstance(addr, int):
-                            raise InterpTrap(f"store through non-integer address {addr!r}")
-                        cells[addr] = regs[instr.src.id]
-                    elif cls is CLoad:
-                        counters.loads += 1
-                        counters.scalar_loads += 1
-                        addr = self._tag_addr(instr.tag, frame_addrs)
-                        regs[instr.dst.id] = cells.get(addr, 0)
-                    elif cls is UnOp:
-                        regs[instr.dst.id] = _unop(instr.opcode, regs[instr.src.id])
-                    elif cls is LoadAddr:
-                        regs[instr.dst.id] = (
-                            self._tag_addr(instr.tag, frame_addrs) + instr.offset
-                        )
-                    elif cls is Jump:
-                        next_label = instr.target
-                        break
-                    elif cls is Branch:
-                        counters.branches += 1
-                        next_label = (
-                            instr.if_true if regs[instr.cond.id] != 0 else instr.if_false
-                        )
-                        break
-                    elif cls is Ret:
-                        if instr.value is not None:
-                            result = regs[instr.value.id]
-                        return result
-                    elif cls is Call:
-                        counters.calls += 1
-                        value = self._exec_call(instr, regs)
-                        if instr.dst is not None:
-                            regs[instr.dst.id] = value if value is not None else 0
-                    elif cls is Nop:
-                        counters.total_ops -= 1  # structural, never "executed"
-                    elif cls is Phi:
-                        raise InterpError(
-                            "phi reached the interpreter; destruct SSA first"
-                        )
-                    else:  # pragma: no cover - defensive
-                        raise InterpError(f"unknown instruction {instr}")
-                if next_label is None:
-                    raise InterpError(
-                        f"block {label} in {func.name} fell through without terminator"
-                    )
-                label = next_label
+                nxt = exec_block(func, label, 0, regs, frame_addrs)
+                if nxt.__class__ is str:
+                    label = nxt
+                else:
+                    return nxt[0]
         finally:
             self.mem.pop_frame(saved_sp)
             self._call_depth -= 1
+
+    def _exec_block(
+        self,
+        func: Function,
+        label: str,
+        start: int,
+        regs: list[int | float],
+        frame_addrs: dict[str, int],
+    ) -> str | tuple:
+        """Execute ``block.instrs[start:]`` of block ``label``, one
+        instruction at a time: the reference per-instruction semantics.
+
+        Returns the next label as a ``str`` or the return value boxed in
+        a 1-tuple — the protocol the compiled engines' block and region
+        functions share, so they can hand a block over mid-way (at
+        ``start``) when a batched ``max_steps`` guard trips.
+        """
+        counters = self.counters
+        cells = self.mem.cells
+        max_steps = self._max_steps
+        instrs = func.blocks[label].instrs
+        if start:
+            instrs = instrs[start:]
+        for instr in instrs:
+            counters.total_ops += 1
+            if counters.total_ops > max_steps:
+                raise ResourceLimitError(
+                    f"exceeded {max_steps} executed operations"
+                )
+            cls = type(instr)
+            if cls is BinOp:
+                regs[instr.dst.id] = _binop(
+                    instr.opcode, regs[instr.lhs.id], regs[instr.rhs.id]
+                )
+            elif cls is LoadI:
+                regs[instr.dst.id] = instr.value
+            elif cls is Mov:
+                counters.copies += 1
+                regs[instr.dst.id] = regs[instr.src.id]
+            elif cls is ScalarLoad or cls is CLoad:
+                counters.loads += 1
+                counters.scalar_loads += 1
+                addr = self._tag_addr(instr.tag, frame_addrs)
+                regs[instr.dst.id] = cells.get(addr, 0)
+            elif cls is ScalarStore:
+                counters.stores += 1
+                counters.scalar_stores += 1
+                addr = self._tag_addr(instr.tag, frame_addrs)
+                cells[addr] = regs[instr.src.id]
+            elif cls is MemLoad:
+                counters.loads += 1
+                counters.general_loads += 1
+                addr = regs[instr.addr.id]
+                if not isinstance(addr, int):
+                    raise InterpTrap(f"load through non-integer address {addr!r}")
+                regs[instr.dst.id] = cells.get(addr, 0)
+            elif cls is MemStore:
+                counters.stores += 1
+                counters.general_stores += 1
+                addr = regs[instr.addr.id]
+                if not isinstance(addr, int):
+                    raise InterpTrap(f"store through non-integer address {addr!r}")
+                cells[addr] = regs[instr.src.id]
+            elif cls is UnOp:
+                regs[instr.dst.id] = _unop(instr.opcode, regs[instr.src.id])
+            elif cls is LoadAddr:
+                regs[instr.dst.id] = (
+                    self._tag_addr(instr.tag, frame_addrs) + instr.offset
+                )
+            elif cls is Jump:
+                return instr.target
+            elif cls is Branch:
+                counters.branches += 1
+                return instr.if_true if regs[instr.cond.id] != 0 else instr.if_false
+            elif cls is Ret:
+                return (regs[instr.value.id] if instr.value is not None else None,)
+            elif cls is Call:
+                counters.calls += 1
+                value = self._exec_call(instr, regs)
+                if instr.dst is not None:
+                    regs[instr.dst.id] = value if value is not None else 0
+            elif cls is Nop:
+                counters.total_ops -= 1  # structural, never "executed"
+            elif cls is Phi:
+                raise InterpError("phi reached the interpreter; destruct SSA first")
+            else:  # pragma: no cover - defensive
+                raise InterpError(f"unknown instruction {instr}")
+        raise InterpError(
+            f"block {label} in {func.name} fell through without terminator"
+        )
 
     # -- helpers -----------------------------------------------------------
     def _tag_addr(self, tag, frame_addrs: dict[str, int]) -> int:

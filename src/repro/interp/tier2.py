@@ -41,21 +41,21 @@ without any pointer.  Everything else keeps its exact memory traffic.
 Promoted accesses still count as loads/stores — the engine changes how
 the program executes, never what the experiment measures.
 
-Exact deoptimization
---------------------
+Exact handoff
+-------------
 
 Observables (output, exit code, counters, ``block_visits``, ``clock()``)
 stay bit-identical with the reference and threaded engines:
 
-* the per-block budget guard folds the block's static mix into the local
-  delta and compares against the remaining budget; on overrun it unwinds
-  the fold, spills registers + promoted slots + counter deltas, and
-  returns a ``("deopt", label)`` jump — the dispatcher then runs that one
-  block on the threaded tier, whose segment guard and
-  :func:`~repro.interp.engine._precise_tail` replay produce the exact
-  per-instruction raise;
-* post-call segments (the budget consumed by the callee is unknowable in
-  advance) spill and enter ``_precise_tail`` directly mid-block;
+* each segment's budget guard (a block is split into segments after
+  every call, exactly as in the threaded tier) folds the segment's
+  static mix into the local delta and compares against the remaining
+  budget; on overrun it unwinds the fold, spills registers + promoted
+  slots + counter deltas, and finishes the block on the reference
+  engine's stepper (:meth:`~repro.interp.machine.Machine._exec_block`)
+  from the segment's first instruction — the same handoff the threaded
+  tier's guard makes, so the raise lands on the exact per-instruction
+  operation count with the reference engine's counters and message;
 * calls flush counter deltas first — ``clock()`` reads the exact
   per-instruction ``total_ops`` — and recompute the budget after;
 * any exception (trap, resource limit, ``exit()``) crosses a
@@ -108,6 +108,7 @@ from .engine import (
     _compile_block,
     _make_tail,
     _raiser,
+    _segment_mix,
     _trap_load,
     _trap_store,
 )
@@ -151,7 +152,6 @@ class Tier2Function(DecodedFunction):
         "candidates",
         "regions",
         "counts",
-        "plains",
         "_local_addressed",
         "frame_offsets",
         "frame_size",
@@ -170,8 +170,6 @@ class Tier2Function(DecodedFunction):
         self.regions: dict[tuple[str, bool], Callable] = {}
         #: header -> probe entry count (persists across runs with the cache)
         self.counts: dict[str, int] = {}
-        #: label -> plain threaded block fn, for deopt re-entry
-        self.plains: dict[str, Callable] = {}
         #: local tag names whose address is ever taken in this function
         self._local_addressed: frozenset[str] | None = None
         # frame layout precomputed once (push_frame_slots recomputes it per
@@ -203,14 +201,6 @@ class Tier2Function(DecodedFunction):
         self.blocks[label] = fn
         return fn
 
-    def plain(self, label: str) -> Callable:
-        """The unwrapped threaded block fn (deopt always lands here)."""
-        fn = self.plains.get(label)
-        if fn is None:
-            fn = _compile_block(self, label)
-            self.plains[label] = fn
-        return fn
-
     def local_addressed(self) -> frozenset[str]:
         cached = self._local_addressed
         if cached is None:
@@ -225,6 +215,8 @@ class Tier2Function(DecodedFunction):
 
 class Tier2Module(DecodedModule):
     """A decode cache whose call executor routes callees through tier 2."""
+
+    cache_attr = "_tier2"
 
     def __init__(self, module: Module, mem: MemoryImage) -> None:
         super().__init__(module, mem)
@@ -276,36 +268,7 @@ def _select_candidates(func: Function) -> dict[str, tuple[str, ...]]:
     return candidates
 
 
-# -- cache -------------------------------------------------------------------
-def get_tier2(module: Module, mem: MemoryImage) -> Tier2Module:
-    """The module's tier-2 cache, rebuilt if the program changed."""
-    dm = getattr(module, "_tier2", None)
-    if dm is not None and dm.validate(mem):
-        return dm
-    dm = Tier2Module(module, mem)
-    module._tier2 = dm
-    return dm
-
-
 # -- execution ---------------------------------------------------------------
-def exec_entry(machine: Machine, func: Function) -> int | float | None:
-    """Run ``func`` on ``machine`` under the tier-2 engine."""
-    from ..trace import current_trace
-
-    trace = current_trace()
-    if trace is None:
-        dm = get_tier2(machine.module, machine.mem)
-        return exec_function(machine, dm.functions[func.name], ())
-    cached = getattr(machine.module, "_tier2", None)
-    with trace.span("interp.decode") as decode_extra:
-        dm = get_tier2(machine.module, machine.mem)
-        decode_extra["cached"] = dm is cached
-    with trace.span("interp.run", function=func.name) as run_extra:
-        result = exec_function(machine, dm.functions[func.name], ())
-        run_extra["total_ops"] = machine.counters.total_ops
-    return result
-
-
 def exec_function(
     m: Machine, df: Tier2Function, args: tuple
 ) -> int | float | None:
@@ -314,13 +277,10 @@ def exec_function(
     Fresh activations of a function whose entry heads a candidate region
     dispatch straight into the *fresh* region variant — no ``regs`` list is
     even allocated on the fast path; the variant returns a 1-tuple boxed
-    value, a ``(label, regs)`` continuation, or a ``("deopt", label, regs)``
-    deopt (regs materialized only on those cold exits).  Everything else
-    runs the threaded dispatch loop, whose block fns may also return a
-    2-tuple ``("deopt", label)``: execute that one block on the plain
-    threaded tier (its segment guard and precise tail reproduce the exact
-    raise), then resume normal dispatch.  The region has already counted
-    the deopt block's visit, so the deopt path does not.
+    value or a ``(label, regs)`` continuation (regs materialized only on
+    that cold exit).  Everything else runs the threaded dispatch loop:
+    block fns, probes and regions all return the next label as a ``str``
+    or the return value boxed in a 1-tuple.
     """
     m._call_depth += 1
     if m._call_depth > 2000:
@@ -336,75 +296,40 @@ def exec_function(
     c = m.counters
     label = df.entry
     visits = m.block_visits
-    regs: list[int | float] | None = None
+    profiled = visits is not None
     try:
-        if visits is None:
-            fresh = df.fresh_off
-            if fresh is None and df.entry_fresh:
-                n = df.fresh_count + 1
-                df.fresh_count = n
-                if n >= HOT_THRESHOLD and len(args) == df.nparams:
-                    fresh = df.fresh_off = _compile_region(
-                        df, label, False, fresh=True
-                    )
-            if fresh is not None and len(args) == df.nparams:
-                res = fresh(args, frame, cells, c, m)
-                k = len(res)
-                if k == 1:
-                    return res[0]
-                if k == 2:
-                    label = res[0]
-                    regs = res[1]
+        fresh = df.fresh_on if profiled else df.fresh_off
+        if fresh is None and df.entry_fresh:
+            n = df.fresh_count + 1
+            df.fresh_count = n
+            if n >= HOT_THRESHOLD and len(args) == df.nparams:
+                fresh = _compile_region(df, label, profiled, fresh=True)
+                if profiled:
+                    df.fresh_on = fresh
                 else:
-                    regs = res[2]
-                    nxt = df.plain(res[1])(regs, frame, cells, c, m)
-                    if nxt.__class__ is not str:
-                        return nxt[0]
-                    label = nxt
-            if regs is None:
-                regs = [0] * df.nregs
-                for i, value in zip(df.param_ids, args):
-                    regs[i] = value
-            blocks = df.blocks
+                    df.fresh_off = fresh
+        if fresh is not None and len(args) == df.nparams:
+            # a profiled fresh variant counts its own entry visit
+            res = fresh(args, frame, cells, c, m)
+            if len(res) == 1:
+                return res[0]
+            label, regs = res
+        else:
+            regs = [0] * df.nregs
+            for i, value in zip(df.param_ids, args):
+                regs[i] = value
+        blocks = df.blocks
+        if visits is None:
             while True:
                 fn = blocks.get(label)
                 if fn is None:
                     fn = df.decode(label)
                 nxt = fn(regs, frame, cells, c, m)
-                while nxt.__class__ is not str:
-                    if len(nxt) == 1:
-                        return nxt[0]
-                    nxt = df.plain(nxt[1])(regs, frame, cells, c, m)
-                label = nxt
-        else:
-            fresh = df.fresh_on
-            if fresh is None and df.entry_fresh:
-                n = df.fresh_count + 1
-                df.fresh_count = n
-                if n >= HOT_THRESHOLD and len(args) == df.nparams:
-                    fresh = df.fresh_on = _compile_region(
-                        df, label, True, fresh=True
-                    )
-            if fresh is not None and len(args) == df.nparams:
-                # the fresh variant counts its own entry visit
-                res = fresh(args, frame, cells, c, m)
-                k = len(res)
-                if k == 1:
-                    return res[0]
-                if k == 2:
-                    label = res[0]
-                    regs = res[1]
-                else:
-                    regs = res[2]
-                    nxt = df.plain(res[1])(regs, frame, cells, c, m)
-                    if nxt.__class__ is not str:
-                        return nxt[0]
+                if nxt.__class__ is str:
                     label = nxt
-            if regs is None:
-                regs = [0] * df.nregs
-                for i, value in zip(df.param_ids, args):
-                    regs[i] = value
-            blocks = df.blocks
+                else:
+                    return nxt[0]
+        else:
             name = df.name
             while True:
                 key = (name, label)
@@ -413,11 +338,10 @@ def exec_function(
                 if fn is None:
                     fn = df.decode(label)
                 nxt = fn(regs, frame, cells, c, m)
-                while nxt.__class__ is not str:
-                    if len(nxt) == 1:
-                        return nxt[0]
-                    nxt = df.plain(nxt[1])(regs, frame, cells, c, m)
-                label = nxt
+                if nxt.__class__ is str:
+                    label = nxt
+                else:
+                    return nxt[0]
     finally:
         mem.pop_frame(saved_sp)
         m._call_depth -= 1
@@ -466,10 +390,11 @@ def _compile_region(
     the call's ``args`` tuple instead of a ``regs`` list, loads parameters
     from it, chain-assigns every other register to zero (the register file
     of a new activation is all zeros), and materializes a ``regs`` list
-    only on the cold exits that need one (deopt, precise tail, region
-    escape).  Its return protocol is ``(value,)`` for a function return,
-    ``(label, regs)`` to continue threaded dispatch, and
-    ``("deopt", label, regs)`` for a clean deopt.
+    only on the cold exits that need one (a budget-guard handoff to the
+    reference stepper, a region escape).  Its return protocol is
+    ``(value,)`` for a function return and ``(label, regs)`` to continue
+    threaded dispatch.  Without ``fresh`` the region returns what a
+    threaded block fn returns: the next label or ``(value,)``.
 
     Generated shape (two-block loop, one promoted slot)::
 
@@ -488,7 +413,7 @@ def _compile_region(
                         if _t > _lim:
                             _t -= 2
                             ... spill ...
-                            return _d0           # ("deopt", header)
+                            return _T0(m, regs, frame, cells, c)
                         r3 = 1 if r4 < x0 else 0
                         if r3 != 0:
                             _pc = 1
@@ -944,22 +869,8 @@ def _compile_region(
 
     # first pass: which counter fields does any region block touch?
     for block in region_blocks:
-        for instr in block.instrs:
-            cls = instr.__class__
-            if cls is Mov:
-                used_fields.add("copies")
-            elif cls is ScalarLoad or cls is CLoad:
-                used_fields.update(("loads", "scalar_loads"))
-            elif cls is ScalarStore:
-                used_fields.update(("stores", "scalar_stores"))
-            elif cls is MemLoad:
-                used_fields.update(("loads", "general_loads"))
-            elif cls is MemStore:
-                used_fields.update(("stores", "general_stores"))
-            elif cls is Branch:
-                used_fields.add("branches")
-            elif cls is Call:
-                used_fields.add("calls")
+        mix = _segment_mix(block.instrs)
+        used_fields.update(fld for fld in _COUNTER_FIELDS if mix[fld])
 
     name = func.name
     if fresh:
@@ -1046,69 +957,29 @@ def _compile_region(
                 seg_start = idx + 1
         if seg or not segments:
             segments.append((seg_start, seg))
-        first = True
         for seg_start, seg in segments:
-            mix = sum(1 for i in seg if i.__class__ is not Nop)
-            if mix:
-                lines.append(f"{ind}_t += {mix}")
+            mix = _segment_mix(seg)
+            ops = mix["total_ops"]
+            if ops:
+                lines.append(f"{ind}_t += {ops}")
                 lines.append(f"{ind}if _t > _lim:")
-                guard = [f"{ind}    _t -= {mix}"]
+                guard = [f"{ind}    _t -= {ops}"]
                 spill_all(guard, ind + "    ")
-                if first:
-                    # nothing of this block has run: deopt is a clean jump
-                    if fresh:
-                        guard.append(
-                            f"{ind}    return ('deopt', {lbl!r}, regs)"
-                        )
-                    else:
-                        dep = bind(("deopt", lbl), "D")
-                        guard.append(f"{ind}    return {dep}")
+                # finish the block on the reference engine from the
+                # segment's first instruction
+                tail = bind(_make_tail(tf, lbl, seg_start), "T")
+                call = f"{tail}(m, regs, frame, cells, c)"
+                if fresh:
+                    guard.append(f"{ind}    _x = {call}")
+                    guard.append(f"{ind}    if _x.__class__ is str:")
+                    guard.append(f"{ind}        return (_x, regs)")
+                    guard.append(f"{ind}    return _x")
                 else:
-                    # mid-block: replay the rest with reference semantics
-                    tail = bind(_make_tail(tf, lbl, seg_start), "T")
-                    if fresh:
-                        guard.append(
-                            f"{ind}    _x = {tail}(m, regs, frame, cells, c)"
-                        )
-                        guard.append(f"{ind}    if _x.__class__ is str:")
-                        guard.append(f"{ind}        return (_x, regs)")
-                        guard.append(f"{ind}    return _x")
-                    else:
-                        guard.append(
-                            f"{ind}    return {tail}(m, regs, frame, cells, c)"
-                        )
+                    guard.append(f"{ind}    return {call}")
                 lines.extend(guard)
-            first = False
             for fld in _COUNTER_FIELDS:
-                n = 0
-                for i in seg:
-                    cls = i.__class__
-                    if fld == "copies" and cls is Mov:
-                        n += 1
-                    elif fld == "loads" and (
-                        cls is ScalarLoad or cls is CLoad or cls is MemLoad
-                    ):
-                        n += 1
-                    elif fld == "scalar_loads" and (
-                        cls is ScalarLoad or cls is CLoad
-                    ):
-                        n += 1
-                    elif fld == "stores" and (
-                        cls is ScalarStore or cls is MemStore
-                    ):
-                        n += 1
-                    elif fld == "scalar_stores" and cls is ScalarStore:
-                        n += 1
-                    elif fld == "general_loads" and cls is MemLoad:
-                        n += 1
-                    elif fld == "general_stores" and cls is MemStore:
-                        n += 1
-                    elif fld == "branches" and cls is Branch:
-                        n += 1
-                    elif fld == "calls" and cls is Call:
-                        n += 1
-                if n:
-                    lines.append(f"{ind}{_DELTA[fld]} += {n}")
+                if mix[fld]:
+                    lines.append(f"{ind}{_DELTA[fld]} += {mix[fld]}")
             for instr in seg:
                 cls = instr.__class__
                 if cls is Jump:

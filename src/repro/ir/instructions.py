@@ -17,7 +17,7 @@ function and carry an optional name hint used only for printing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .opcodes import BINARY_OPS, COMPARISON_OPS, UNARY_OPS, Opcode
 from .tags import Tag, TagSet
@@ -589,8 +589,3 @@ def retarget(instr: Instr, old: str, new: str) -> None:
             instr.if_true = new
         if instr.if_false == old:
             instr.if_false = new
-
-
-def copy_instructions(instrs: Iterable[Instr]) -> list[Instr]:
-    """Structural copies of a sequence of instructions."""
-    return [i.copy() for i in instrs]

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 from ..diag.host import host_metadata
 from ..diag.log import get_logger
-from ..interp import MachineOptions
+from ..interp import ENGINES, MachineOptions
 from ..pipeline import Analysis, PipelineOptions, paper_variants
 from ..trace import (
     FlightRecorder,
@@ -671,7 +671,7 @@ class ReproServer:
 
     def _machine_options(self, request: Request, params: dict) -> MachineOptions:
         engine = params.get("engine", "threaded")
-        if engine not in ("threaded", "simple", "tier2"):
+        if engine not in ENGINES:
             raise ProtocolError(
                 "invalid_params",
                 f"engine must be 'threaded', 'simple', or 'tier2', "

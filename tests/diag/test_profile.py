@@ -103,7 +103,7 @@ class TestOverheadGuard:
 
         from repro.interp.machine import Machine
 
-        source = inspect.getsource(Machine._exec_function)
+        source = inspect.getsource(Machine._exec_block)
         dispatch = source.split("for instr in", 1)[1]
         assert "visits" not in dispatch
         assert "block_visits" not in dispatch

@@ -21,7 +21,7 @@ import sys
 import pytest
 
 from repro.errors import InterpError, InterpTrap, ResourceLimitError
-from repro.interp import Machine, MachineOptions, invalidate_decoded
+from repro.interp import ENGINES, Machine, MachineOptions, invalidate_decoded
 from repro.ir.instructions import LoadI
 from repro.pipeline import Analysis, PipelineOptions, compile_source
 from repro.workloads import get_workload, workload_names
@@ -41,9 +41,6 @@ O0 = PipelineOptions(
 FULL = PipelineOptions()
 
 PIPELINES = {"O0": O0, "full": FULL}
-
-#: engines held to the bit-identical contract against "simple"
-ENGINES = ("simple", "threaded", "tier2")
 
 
 def _module(workload, options):
@@ -354,6 +351,94 @@ class TestTier2Deopt:
         deep = copy.deepcopy(module)
         assert not hasattr(deep, "_tier2")
         _assert_identical(reference, _run(deep, "tier2"), "deepcopy clone")
+
+
+@pytest.mark.parametrize("engine", ["threaded", "tier2"])
+def test_traced_entry_spans(engine):
+    """Both compiled engines enter through one traced path: a decode span
+    that reports the cache hit, and a run span carrying the op count."""
+    from repro.trace import tracing
+
+    module = compile_source(HOT_SOURCE, FULL).module
+    for cached in (False, True):
+        with tracing() as trace:
+            run = Machine(module, MachineOptions(engine=engine)).run()
+        spans = {e.name: e for e in trace.events}
+        assert spans["interp.decode"].args["cached"] is cached
+        assert spans["interp.run"].args["function"] == "main"
+        assert spans["interp.run"].args["total_ops"] == run.counters.total_ops
+
+
+class TestExactHandoff:
+    """A compiled engine whose batched ``max_steps`` guard trips hands the
+    rest of the block to the reference stepper (``Machine._exec_block``)
+    at an exact instruction index.  Every limit in a window of consecutive
+    limits must then raise with the reference engine's message, counters
+    and ``block_visits`` — with profiling off and on."""
+
+    #: HOT_SOURCE under FULL: the first tier-2 region (work's loop)
+    #: compiles at op 56 and main's first post-call segment runs at ops
+    #: 318-320.  Main's loop region compiles at op 2211, with work's
+    #: fresh entry variant right after; the region's first post-call
+    #: segment runs at ops 2523-2525 and the fresh variant's first
+    #: segment at op 2529.
+    WINDOWS = {
+        "first-compile": range(1, 331),
+        "region-post-call": range(2331, 2541),
+    }
+
+    @pytest.mark.parametrize("profile", [False, True])
+    @pytest.mark.parametrize("window", list(WINDOWS))
+    def test_consecutive_limits_identical(self, window, profile, monkeypatch):
+        module = compile_source(HOT_SOURCE, FULL).module
+        # compiled engines reach the stepper only through a guard handoff
+        handoffs: set[tuple[str, bool]] = set()
+        step = Machine._exec_block
+
+        def spy(self, func, label, start, regs, frame_addrs):
+            if self.options.engine != "simple":
+                handoffs.add((self.options.engine, start > 0))
+            return step(self, func, label, start, regs, frame_addrs)
+
+        monkeypatch.setattr(Machine, "_exec_block", spy)
+        compiled = set()
+        for limit in self.WINDOWS[window]:
+            outcomes = {}
+            for engine in ENGINES:
+                invalidate_decoded(module)  # every run starts cold
+                machine = Machine(
+                    module,
+                    MachineOptions(
+                        engine=engine, max_steps=limit, profile=profile
+                    ),
+                )
+                with pytest.raises(ResourceLimitError) as exc:
+                    machine.run()
+                if engine == "tier2":
+                    compiled.add(_tier2_compiled(module))
+                outcomes[engine] = (
+                    str(exc.value),
+                    machine.counters.as_dict(),
+                    machine.block_visits,
+                )
+            assert outcomes["simple"][0] == (
+                f"exceeded {limit} executed operations"
+            )
+            assert outcomes["threaded"] == outcomes["simple"], limit
+            assert outcomes["tier2"] == outcomes["simple"], limit
+        if window == "first-compile":
+            # the window straddles the first region compile
+            assert compiled == {False, True}
+        else:
+            assert compiled == {True}
+        # handoffs at a block's first segment and after a call, from both
+        # compiled engines
+        assert handoffs == {
+            ("threaded", False),
+            ("threaded", True),
+            ("tier2", False),
+            ("tier2", True),
+        }
 
 
 def test_recursion_limit_restored_after_run():
